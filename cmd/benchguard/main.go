@@ -60,14 +60,14 @@ func (s suite) keyPkg() string {
 var suites = []suite{
 	{
 		pkg:       "./internal/encoding",
-		bench:     "^(BenchmarkEncodeNonlinear|BenchmarkEncodeRFF|BenchmarkEncodeLinear|BenchmarkEncodeBatchParallel|BenchmarkEncodeBatchRemat|BenchmarkEncodeBitsStored|BenchmarkEncodeBitsRemat|BenchmarkIDLevelEncode)$",
+		bench:     "^(BenchmarkEncodeNonlinear|BenchmarkEncodeRFF|BenchmarkEncodeLinear|BenchmarkEncodeBatchParallel|BenchmarkEncodeBatchRemat|BenchmarkEncodeBitsStored|BenchmarkEncodeBitsRemat|BenchmarkEncodeBitsRow|BenchmarkEncodeBitsRows4|BenchmarkIDLevelEncode)$",
 		benchtime: "200ms",
 		count:     5,
 		tolScale:  1,
 	},
 	{
 		pkg:       "./internal/infer",
-		bench:     "^(BenchmarkPredictBatchFloat|BenchmarkPredictBatchBinary|BenchmarkScoreEncodedFloat|BenchmarkScoreEncodedBinary)$",
+		bench:     "^(BenchmarkPredictBatchFloat|BenchmarkPredictBatchBinary|BenchmarkPredictBatchBinaryRow|BenchmarkScoreEncodedFloat|BenchmarkScoreEncodedBinary)$",
 		benchtime: "200ms",
 		count:     5,
 		tolScale:  1,

@@ -148,12 +148,22 @@ var benchKernels = map[string][]struct{ dir, fn string }{
 	"internal/encoding.BenchmarkEncodeBatchRemat":    {{"internal/encoding", "rematEncodeRows"}},
 	"internal/encoding.BenchmarkEncodeBitsRemat":     {{"internal/encoding", "rematEncodeBitsBatch"}},
 	"internal/encoding.BenchmarkEncodeBitsStored":    {{"internal/encoding", "encodeBits4"}},
-	"internal/encoding.BenchmarkEncodeLinear":        {{"internal/encoding", "encodeRange"}},
-	"internal/encoding.BenchmarkEncodeNonlinear":     {{"internal/encoding", "encodeRange"}},
-	"internal/encoding.BenchmarkEncodeRFF":           {{"internal/encoding", "encodeRange"}},
-	"internal/encoding.BenchmarkIDLevelEncode":       {{"internal/encoding", "quantize"}},
-	"internal/infer.BenchmarkPredictBatchBinary":     {{"internal/infer", "predictBits4"}},
-	"internal/infer.BenchmarkPredictBatchFloat":      {{"internal/boosthd", "classifyEncoded"}},
+	"internal/encoding.BenchmarkEncodeBitsRow": {
+		{"internal/encoding", "encodeBits1"},
+		{"internal/encoding", "dot4"},
+		{"internal/encoding", "signBit"},
+	},
+	"internal/encoding.BenchmarkEncodeBitsRows4": {{"internal/encoding", "encodeBits4"}},
+	"internal/encoding.BenchmarkEncodeLinear":    {{"internal/encoding", "encodeRange"}},
+	"internal/encoding.BenchmarkEncodeNonlinear": {{"internal/encoding", "encodeRange"}},
+	"internal/encoding.BenchmarkEncodeRFF":       {{"internal/encoding", "encodeRange"}},
+	"internal/encoding.BenchmarkIDLevelEncode":   {{"internal/encoding", "quantize"}},
+	"internal/infer.BenchmarkPredictBatchBinary": {{"internal/infer", "predictBits4"}},
+	"internal/infer.BenchmarkPredictBatchBinaryRow": {
+		{"internal/encoding", "encodeBits1"},
+		{"internal/infer", "predictBits"},
+	},
+	"internal/infer.BenchmarkPredictBatchFloat": {{"internal/boosthd", "classifyEncoded"}},
 	"internal/infer.BenchmarkScoreEncodedBinary": {
 		{"internal/infer", "planeDistance"},
 		{"internal/infer", "planeDistance4"},

@@ -542,6 +542,9 @@ func (m *Model) PredictBatchStaged(X [][]float64, stages *obs.StageTimes) ([]int
 	defer unpin()
 	blocks := (len(X) + predictBatchRows - 1) / predictBatchRows
 	workers := par.Workers(blocks)
+	// A block holds at most len(X) rows: a one-row call must not pay
+	// for a full block's encode buffer.
+	rows := min(len(X), predictBatchRows)
 	type worker struct {
 		buf []float64
 		sc  *inferScratch
@@ -550,7 +553,7 @@ func (m *Model) PredictBatchStaged(X [][]float64, stages *obs.StageTimes) ([]int
 	err := par.ForEachWorker(blocks, func(w, blk int) error {
 		st := ws[w]
 		if st == nil {
-			st = &worker{buf: make([]float64, predictBatchRows*D), sc: m.newInferScratch()}
+			st = &worker{buf: make([]float64, rows*D), sc: m.newInferScratch()}
 			ws[w] = st
 		}
 		lo := blk * predictBatchRows

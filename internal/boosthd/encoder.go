@@ -54,7 +54,8 @@ func (se singleEncoder) EncodeSegmentBitsBatch(xs [][]float64, segs []segment, d
 	if len(dst) != len(xs) {
 		return fmt.Errorf("boosthd: %d bit destinations for %d rows", len(dst), len(xs))
 	}
-	cols := make([]*hdc.BitVector, len(xs))
+	var buf [encoding.BatchRowBlock]*hdc.BitVector
+	cols := bitColumns(&buf, len(xs))
 	for i, s := range segs {
 		for r := range xs {
 			cols[r] = dst[r][i]
@@ -64,6 +65,16 @@ func (se singleEncoder) EncodeSegmentBitsBatch(xs [][]float64, segs []segment, d
 		}
 	}
 	return nil
+}
+
+// bitColumns returns an n-element column slice for the segment-major
+// batch bits kernels, backed by buf (a caller stack array) whenever n fits
+// a row block, so the serving path's block-sized calls allocate nothing.
+func bitColumns(buf *[encoding.BatchRowBlock]*hdc.BitVector, n int) []*hdc.BitVector {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]*hdc.BitVector, n)
 }
 
 // spreadEncoder realizes Figure 1's per-learner "HD Encoding" boxes: each
@@ -198,7 +209,8 @@ func (se *spreadEncoder) EncodeSegmentBitsBatch(xs [][]float64, segs []segment, 
 	if len(dst) != len(xs) {
 		return fmt.Errorf("boosthd: %d bit destinations for %d rows", len(dst), len(xs))
 	}
-	cols := make([]*hdc.BitVector, len(xs))
+	var buf [encoding.BatchRowBlock]*hdc.BitVector
+	cols := bitColumns(&buf, len(xs))
 	for i, enc := range se.encs {
 		for r := range xs {
 			cols[r] = dst[r][i]

@@ -155,8 +155,47 @@ func (e *Encoder) project(j int, x []float64) float64 {
 	return dot * e.Gamma
 }
 
+// dot4 returns the raw dot products <w_j, x> .. <w_{j+3}, x> of four
+// consecutive projection rows against one input row — the one-row
+// register block: x[k] is loaded once per step and feeds four independent
+// accumulator chains, which hides the floating-point add latency that
+// serializes a lone dot product. Each chain still accumulates in index
+// order, so every sum is bit-identical to project's.
+//
+//hd:hotpath
+func (e *Encoder) dot4(j int, x []float64) (s0, s1, s2, s3 float64) {
+	in := e.InDim
+	blk := e.w[j*in : j*in+4*in]
+	r0, r1, r2, r3 := blk[:in], blk[in:2*in], blk[2*in:3*in], blk[3*in:]
+	x = x[:len(r0)]
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	for k, xv := range x {
+		s0 += r0[k] * xv
+		s1 += r1[k] * xv
+		s2 += r2[k] * xv
+		s3 += r3[k] * xv
+	}
+	return s0, s1, s2, s3
+}
+
+// activate applies the encoder's activation to the scaled projection d of
+// component j.
+//
+//hd:hotpath
+func (e *Encoder) activate(j int, d float64) float64 {
+	switch e.Kind {
+	case Nonlinear:
+		return 0.5*math.Sin(2*d+e.b[j]) - e.halfSinB[j]
+	case RFF:
+		return math.Cos(d + e.b[j])
+	default:
+		return d
+	}
+}
+
 // encodeRange writes components [lo,hi) of the encoding of x into
-// dst[0:hi-lo]. The activation switch is hoisted out of the component loop.
+// dst[0:hi-lo], four components per projection sweep (dot4) with a
+// scalar tail.
 //
 //hd:hotpath
 func (e *Encoder) encodeRange(x []float64, lo, hi int, dst []float64) {
@@ -164,20 +203,19 @@ func (e *Encoder) encodeRange(x []float64, lo, hi int, dst []float64) {
 		e.rematEncodeRange(x, lo, hi, dst)
 		return
 	}
-	switch e.Kind {
-	case Nonlinear:
-		for j := lo; j < hi; j++ {
-			d := e.project(j, x)
-			dst[j-lo] = 0.5*math.Sin(2*d+e.b[j]) - e.halfSinB[j]
-		}
-	case RFF:
-		for j := lo; j < hi; j++ {
-			dst[j-lo] = math.Cos(e.project(j, x) + e.b[j])
-		}
-	default:
-		for j := lo; j < hi; j++ {
-			dst[j-lo] = e.project(j, x)
-		}
+	g := e.Gamma
+	dst = dst[:hi-lo]
+	j := lo
+	for ; j+4 <= hi; j += 4 {
+		s0, s1, s2, s3 := e.dot4(j, x)
+		d := dst[j-lo : j-lo+4]
+		d[0] = e.activate(j, s0*g)
+		d[1] = e.activate(j+1, s1*g)
+		d[2] = e.activate(j+2, s2*g)
+		d[3] = e.activate(j+3, s3*g)
+	}
+	for ; j < hi; j++ {
+		dst[j-lo] = e.activate(j, e.project(j, x))
 	}
 }
 
@@ -385,26 +423,66 @@ func (e *Encoder) EncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) e
 		e.rematEncodeBitsRange(x, lo, hi, dst)
 		return nil
 	}
-	switch e.Kind {
-	case Nonlinear:
-		for j := lo; j < hi; j++ {
-			d := e.project(j, x)
-			sinNeg := phaseFrac(d) > 0.5
-			fc := phaseFrac(d + e.b[j])
-			cosNeg := fc > 0.25 && fc < 0.75
-			dst.Set(j-lo, sinNeg == cosNeg)
-		}
-	case RFF:
-		for j := lo; j < hi; j++ {
-			fc := phaseFrac(e.project(j, x) + e.b[j])
-			dst.Set(j-lo, !(fc > 0.25 && fc < 0.75))
-		}
-	default:
-		for j := lo; j < hi; j++ {
-			dst.Set(j-lo, e.project(j, x) >= 0)
-		}
-	}
+	e.encodeBits1(x, lo, hi, dst)
 	return nil
+}
+
+// b2u is 1 for true and 0 for false. The compiler lowers it to a flag
+// set, not a branch.
+//
+//hd:hotpath
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// signBit returns 1 iff the encoding component with scaled projection d
+// and phase b is >= 0, read off the phase quadrants without a branch on
+// the (coin-flip) outcome: Nonlinear is the XNOR of the signs of cos(d+b)
+// and sin(d), RFF the sign of cos(d+b), Linear the sign of d itself.
+//
+//hd:hotpath
+func signBit(kind Kind, d, b float64) uint64 {
+	switch kind {
+	case Nonlinear:
+		fc := phaseFrac(d + b)
+		return b2u(phaseFrac(d) > 0.5) ^ (b2u(fc > 0.25) & b2u(fc < 0.75)) ^ 1
+	case RFF:
+		fc := phaseFrac(d + b)
+		return (b2u(fc > 0.25) & b2u(fc < 0.75)) ^ 1
+	default:
+		return b2u(d >= 0)
+	}
+}
+
+// encodeBits1 is the one-row sign-bit kernel: components are swept four
+// at a time through dot4, each sign is ORed into a register word without
+// branching, and whole 64-bit words are stored into dst (dst.N == hi-lo).
+//
+//hd:hotpath
+func (e *Encoder) encodeBits1(x []float64, lo, hi int, dst *hdc.BitVector) {
+	g := e.Gamma
+	kind := e.Kind
+	for jStart := lo; jStart < hi; jStart += 64 {
+		jEnd := min(jStart+64, hi)
+		var word uint64
+		j := jStart
+		for ; j+4 <= jEnd; j += 4 {
+			s0, s1, s2, s3 := e.dot4(j, x)
+			b := e.b[j : j+4]
+			word |= (signBit(kind, s0*g, b[0]) |
+				signBit(kind, s1*g, b[1])<<1 |
+				signBit(kind, s2*g, b[2])<<2 |
+				signBit(kind, s3*g, b[3])<<3) << uint(j-jStart)
+		}
+		for ; j < jEnd; j++ {
+			word |= signBit(kind, e.project(j, x), e.b[j]) << uint(j-jStart)
+		}
+		dst.Words[(jStart-lo)/64] = word
+	}
 }
 
 // EncodeBitsRangeBatch encodes components [lo,hi) of every row of xs into
@@ -443,25 +521,9 @@ func (e *Encoder) EncodeBitsRangeBatch(xs [][]float64, lo, hi int, dst []*hdc.Bi
 			dst[r], dst[r+1], dst[r+2], dst[r+3])
 	}
 	for ; r < len(xs); r++ {
-		if err := e.EncodeBitsRange(xs[r], lo, hi, dst[r]); err != nil {
-			return err
-		}
+		e.encodeBits1(xs[r], lo, hi, dst[r])
 	}
 	return nil
-}
-
-// bitSign reads one component's sign off its phase for the non-Nonlinear
-// kinds: RFF is the sign of cos(d+b) read from the cosine quadrant, Linear
-// the raw projection sign. Hoisted out of encodeBits4 so the kernel stays
-// closure-free.
-//
-//hd:hotpath
-func bitSign(kind Kind, d, bj float64) bool {
-	if kind == RFF {
-		fc := phaseFrac(d + bj)
-		return !(fc > 0.25 && fc < 0.75)
-	}
-	return d >= 0
 }
 
 // encodeBits4 is the four-row register-blocked core of the sign-bit
@@ -476,7 +538,8 @@ func (e *Encoder) encodeBits4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, 
 	x0, x1, x2, x3 = x0[:in], x1[:in], x2[:in], x3[:in]
 	if e.Kind == Nonlinear {
 		// The hot configuration gets a fully inlined body: the sign of
-		// cos(d+b)*sin(d) is the XNOR of the two factors' phase signs.
+		// cos(d+b)*sin(d) is the XNOR of the two factors' phase signs,
+		// packed without a branch as in signBit.
 		for jStart := lo; jStart < hi; jStart += 64 {
 			jEnd := jStart + 64
 			if jEnd > hi {
@@ -493,27 +556,13 @@ func (e *Encoder) encodeBits4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, 
 					s3 += wv * x3[k]
 				}
 				bj := e.b[j]
-				bit := uint64(1) << uint(j-jStart)
-				d := s0 * g
-				fc := phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w0 |= bit
-				}
-				d = s1 * g
-				fc = phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w1 |= bit
-				}
-				d = s2 * g
-				fc = phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w2 |= bit
-				}
-				d = s3 * g
-				fc = phaseFrac(d + bj)
-				if (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75) {
-					w3 |= bit
-				}
+				sh := uint(j - jStart)
+				p0, p1, p2, p3 := s0*g, s1*g, s2*g, s3*g
+				f0, f1, f2, f3 := phaseFrac(p0+bj), phaseFrac(p1+bj), phaseFrac(p2+bj), phaseFrac(p3+bj)
+				w0 |= (b2u(phaseFrac(p0) > 0.5) ^ (b2u(f0 > 0.25) & b2u(f0 < 0.75)) ^ 1) << sh
+				w1 |= (b2u(phaseFrac(p1) > 0.5) ^ (b2u(f1 > 0.25) & b2u(f1 < 0.75)) ^ 1) << sh
+				w2 |= (b2u(phaseFrac(p2) > 0.5) ^ (b2u(f2 > 0.25) & b2u(f2 < 0.75)) ^ 1) << sh
+				w3 |= (b2u(phaseFrac(p3) > 0.5) ^ (b2u(f3 > 0.25) & b2u(f3 < 0.75)) ^ 1) << sh
 			}
 			wIdx := (jStart - lo) / 64
 			d0.Words[wIdx] = w0
@@ -539,19 +588,11 @@ func (e *Encoder) encodeBits4(x0, x1, x2, x3 []float64, lo, hi int, d0, d1, d2, 
 				s3 += wv * x3[k]
 			}
 			bj := e.b[j]
-			bit := uint64(1) << uint(j-jStart)
-			if bitSign(e.Kind, s0*g, bj) {
-				w0 |= bit
-			}
-			if bitSign(e.Kind, s1*g, bj) {
-				w1 |= bit
-			}
-			if bitSign(e.Kind, s2*g, bj) {
-				w2 |= bit
-			}
-			if bitSign(e.Kind, s3*g, bj) {
-				w3 |= bit
-			}
+			sh := uint(j - jStart)
+			w0 |= signBit(e.Kind, s0*g, bj) << sh
+			w1 |= signBit(e.Kind, s1*g, bj) << sh
+			w2 |= signBit(e.Kind, s2*g, bj) << sh
+			w3 |= signBit(e.Kind, s3*g, bj) << sh
 		}
 		wIdx := (jStart - lo) / 64
 		d0.Words[wIdx] = w0

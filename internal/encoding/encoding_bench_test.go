@@ -81,10 +81,12 @@ func BenchmarkEncodeBatchRemat(b *testing.B) {
 	}
 }
 
-func benchEncodeBits(b *testing.B, e *Encoder) {
+func benchEncodeBits(b *testing.B, e *Encoder) { benchEncodeBitsRows(b, e, 64) }
+
+func benchEncodeBitsRows(b *testing.B, e *Encoder, rows int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))
-	xs := make([][]float64, 64)
+	xs := make([][]float64, rows)
 	for i := range xs {
 		xs[i] = make([]float64, 36)
 		for j := range xs[i] {
@@ -112,6 +114,27 @@ func BenchmarkEncodeBitsStored(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchEncodeBits(b, e)
+}
+
+// BenchmarkEncodeBitsRow / BenchmarkEncodeBitsRows4 measure the sign-only
+// encoder at the batch sizes a lightly loaded server runs: one row (the
+// batcher's lone-caller path, served by the one-row kernel) and four rows
+// (one pass of the four-row kernel). Per-row cost is ns/op divided by the
+// row count.
+func BenchmarkEncodeBitsRow(b *testing.B) {
+	e, err := New(36, 10000, Nonlinear, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEncodeBitsRows(b, e, 1)
+}
+
+func BenchmarkEncodeBitsRows4(b *testing.B) {
+	e, err := New(36, 10000, Nonlinear, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEncodeBitsRows(b, e, 4)
 }
 
 func BenchmarkEncodeBitsRemat(b *testing.B) {

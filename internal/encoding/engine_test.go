@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -205,6 +206,141 @@ func TestEncodeBitsRangeBatchMatchesPerRow(t *testing.T) {
 					t.Fatalf("n=%d row %d word %d: batch %x != scalar %x", n, i, w, dst[i].Words[w], want.Words[w])
 				}
 			}
+		}
+	}
+}
+
+// scalarProject is the per-component projection the one-row kernels
+// replaced: one dot product per component, accumulated in index order,
+// then scaled by Gamma.
+func scalarProject(e *Encoder, j int, x []float64) float64 {
+	row := e.w[j*e.InDim : (j+1)*e.InDim]
+	var dot float64
+	for k, wv := range row {
+		dot += wv * x[k]
+	}
+	return dot * e.Gamma
+}
+
+// scalarBits is the per-component sign loop the one-row kernel replaced.
+func scalarBits(e *Encoder, x []float64, lo, hi int) *hdc.BitVector {
+	dst := hdc.NewBitVector(hi - lo)
+	for j := lo; j < hi; j++ {
+		d := scalarProject(e, j, x)
+		switch e.Kind {
+		case Nonlinear:
+			sinNeg := phaseFrac(d) > 0.5
+			fc := phaseFrac(d + e.b[j])
+			cosNeg := fc > 0.25 && fc < 0.75
+			dst.Set(j-lo, sinNeg == cosNeg)
+		case RFF:
+			fc := phaseFrac(d + e.b[j])
+			dst.Set(j-lo, !(fc > 0.25 && fc < 0.75))
+		default:
+			dst.Set(j-lo, d >= 0)
+		}
+	}
+	return dst
+}
+
+// scalarEncode is the per-component float loop the one-row kernel
+// replaced.
+func scalarEncode(e *Encoder, x []float64) []float64 {
+	dst := make([]float64, e.OutDim)
+	for j := range dst {
+		d := scalarProject(e, j, x)
+		switch e.Kind {
+		case Nonlinear:
+			dst[j] = 0.5*math.Sin(2*d+e.b[j]) - e.halfSinB[j]
+		case RFF:
+			dst[j] = math.Cos(d + e.b[j])
+		default:
+			dst[j] = d
+		}
+	}
+	return dst
+}
+
+// TestBlockedKernelOneRowMatchesScalar pins the one-row register-blocked
+// kernels (four components per projection sweep, branch-free sign
+// packing) to the scalar per-component loops bit for bit: EncodeBitsRange,
+// the remainder rows of EncodeBitsRangeBatch, EncodeInto, and the
+// remainder rows of EncodeBatchInto. It covers every kind, both stored
+// projection modes, feature widths around a sign word (36, 37) and below
+// one register block, and ranges whose widths are not multiples of 4 or 64.
+func TestBlockedKernelOneRowMatchesScalar(t *testing.T) {
+	const outDim = 1001
+	ranges := []struct{ lo, hi int }{{0, outDim}, {35, 185}, {3, 66}, {998, 1001}}
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		for _, proj := range []Projection{ProjStored, ProjSeededStored} {
+			for _, in := range []int{5, 36, 37} {
+				var e *Encoder
+				var err error
+				if proj == ProjStored {
+					e, err = New(in, outDim, kind, int64(in))
+				} else {
+					e, err = NewSeeded(in, outDim, kind, int64(in), proj)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				xs := randRows(rand.New(rand.NewSource(int64(in)+100)), 9, in)
+				xs[0] = make([]float64, in) // all-zero row: every projection is +0
+				name := fmt.Sprintf("%v/%v/in=%d", kind, proj, in)
+
+				for _, r := range ranges {
+					want := make([]*hdc.BitVector, len(xs))
+					for i, x := range xs {
+						want[i] = scalarBits(e, x, r.lo, r.hi)
+						got := hdc.NewBitVector(r.hi - r.lo)
+						if err := e.EncodeBitsRange(x, r.lo, r.hi, got); err != nil {
+							t.Fatal(err)
+						}
+						assertWords(t, fmt.Sprintf("%s EncodeBitsRange [%d,%d) row %d", name, r.lo, r.hi, i), got, want[i])
+					}
+					for n := 1; n <= len(xs); n++ {
+						dst := make([]*hdc.BitVector, n)
+						for i := range dst {
+							dst[i] = hdc.NewBitVector(r.hi - r.lo)
+						}
+						if err := e.EncodeBitsRangeBatch(xs[:n], r.lo, r.hi, dst); err != nil {
+							t.Fatal(err)
+						}
+						for i := range dst {
+							assertWords(t, fmt.Sprintf("%s EncodeBitsRangeBatch n=%d [%d,%d) row %d", name, n, r.lo, r.hi, i), dst[i], want[i])
+						}
+					}
+				}
+
+				flat := make([]float64, len(xs)*outDim)
+				if err := e.EncodeBatchInto(xs, flat, outDim, 0); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float64, outDim)
+				for i, x := range xs {
+					want := scalarEncode(e, x)
+					if err := e.EncodeInto(x, got); err != nil {
+						t.Fatal(err)
+					}
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s EncodeInto row %d comp %d: %v != scalar %v", name, i, j, got[j], want[j])
+						}
+						if b := flat[i*outDim+j]; math.Float64bits(b) != math.Float64bits(want[j]) {
+							t.Fatalf("%s EncodeBatchInto row %d comp %d: %v != scalar %v", name, i, j, b, want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func assertWords(t *testing.T, what string, got, want *hdc.BitVector) {
+	t.Helper()
+	for w := range want.Words {
+		if got.Words[w] != want.Words[w] {
+			t.Fatalf("%s: word %d: kernel %x != scalar %x", what, w, got.Words[w], want.Words[w])
 		}
 	}
 }

@@ -421,31 +421,13 @@ func (e *Encoder) rematEncodeRows(xs [][]float64, lo, hi int, dst func(i int) []
 	}
 }
 
-// rematSignBit reports the sign of encoding component j of x (projection
-// d, phase b), replicating the phase-quadrant logic of the stored bits
-// kernel exactly.
-//
-//hd:hotpath
-func (e *Encoder) rematSignBit(d, b float64) bool {
-	switch e.Kind {
-	case Nonlinear:
-		fc := phaseFrac(d + b)
-		return (phaseFrac(d) > 0.5) == (fc > 0.25 && fc < 0.75)
-	case RFF:
-		fc := phaseFrac(d + b)
-		return !(fc > 0.25 && fc < 0.75)
-	default:
-		return d >= 0
-	}
-}
-
 // rematEncodeBitsRange is the scalar rematerialized sign-bit kernel.
 //
 //hd:hotpath
 func (e *Encoder) rematEncodeBitsRange(x []float64, lo, hi int, dst *hdc.BitVector) {
 	g := e.Gamma
 	for j := lo; j < hi; j++ {
-		dst.Set(j-lo, e.rematSignBit(e.rematDot(j, x)*g, e.phaseAt(j)))
+		dst.Set(j-lo, signBit(e.Kind, e.rematDot(j, x)*g, e.phaseAt(j)) == 1)
 	}
 }
 
@@ -580,7 +562,7 @@ func (e *Encoder) rematEncodeBitsBatch(xs [][]float64, lo, hi int, dst []*hdc.Bi
 				for k, wv := range row {
 					s += wv * x[k]
 				}
-				d.Set(j-lo, e.rematSignBit(s*g, bTile[j-t0]))
+				d.Set(j-lo, signBit(e.Kind, s*g, bTile[j-t0]) == 1)
 			}
 		}
 	}

@@ -37,6 +37,25 @@ func BenchmarkPredictBatchBinary(b *testing.B) {
 	b.ReportMetric(float64(len(X)), "rows/op")
 }
 
+// BenchmarkPredictBatchBinaryRow measures the packed-binary engine on a
+// one-row batch — what the batcher's lone-caller path sends a lightly
+// loaded server — so the one-row encode kernel and per-call scratch
+// sizing are guarded, not only the 100-row block path.
+func BenchmarkPredictBatchBinaryRow(b *testing.B) {
+	model, X, _ := fixture(b, 10000, 10)
+	e, err := NewBinaryEngine(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.PredictBatch(X[:1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScoreEncodedFloat measures the float scoring stage alone:
 // cosine aggregation over pre-encoded full-width hypervectors, with norms
 // and scratch hoisted through EncodedPredictor so the loop is

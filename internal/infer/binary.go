@@ -595,11 +595,14 @@ func (bm *BinaryModel) PredictBatchStaged(X [][]float64, stages *obs.StageTimes)
 		agg, scores [][]float64        // [4][classes] blocked-kernel scratch
 	}
 	scratches := make([]*scratch, workers)
+	// Query buffers for at most len(X) rows: a one-row call must not
+	// build a full block's worth.
+	rows := min(len(X), predictBatchRows)
 	err := par.ForEachWorker(blocks, func(w, blk int) error {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &scratch{
-				q:      make([][]*hdc.BitVector, predictBatchRows),
+				q:      make([][]*hdc.BitVector, rows),
 				agg:    make([][]float64, 4),
 				scores: make([][]float64, 4),
 			}

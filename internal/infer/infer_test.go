@@ -513,3 +513,47 @@ func TestEvaluateLearnersSoloAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// bytesPerCall returns the heap bytes one fn call allocates: the fewest
+// seen over three 20-call rounds, so a stray allocation elsewhere in the
+// process cannot inflate it.
+func bytesPerCall(fn func()) float64 {
+	best := math.Inf(1)
+	var before, after runtime.MemStats
+	for round := 0; round < 3; round++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		best = math.Min(best, float64(after.TotalAlloc-before.TotalAlloc)/20)
+	}
+	return best
+}
+
+// TestPredictBatchOneRowScratch pins per-call engine scratch to the rows
+// the call carries: a one-row PredictBatch on either backend must
+// allocate a small fraction of a 32-row (one full block) call, where
+// sizing scratch for a whole block made the two cost the same.
+func TestPredictBatchOneRowScratch(t *testing.T) {
+	m, X, _ := fixture(t, 4000, 10)
+	bin, err := NewBinaryEngine(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{NewEngine(m), bin} {
+		predict := func(rows [][]float64) func() {
+			return func() {
+				if _, err := e.PredictBatch(rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		one := bytesPerCall(predict(X[:1]))
+		block := bytesPerCall(predict(X[:32]))
+		t.Logf("%v: one row %.0f B/call, 32 rows %.0f B/call", e.Backend(), one, block)
+		if one*8 > block {
+			t.Errorf("%v: one-row call allocates %.0f B, over 1/8 of a 32-row call's %.0f B", e.Backend(), one, block)
+		}
+	}
+}
