@@ -399,14 +399,12 @@ type ObsEvent = obs.Event
 // mirrored to a JSONL file.
 type ObsJournal = obs.Journal
 
-// Remask builds the serving engine for a quarantine mask: an
-// alpha-masked view of base served through cur's backend, sharing the
-// expensive backend state. Scoring skips masked learners entirely, so
-// their (possibly corrupted) memory is never read.
-var Remask = infer.Remask
+// ModelView describes a serving view of a model: Masked silences
+// learners, Healthy keeps a learner voting over only its trusted
+// dimensions, Delta overrides learners with a tenant's own memories.
+type ModelView = core.View
 
-// RemaskDims is the dimension-granular variant: healthy[i] non-nil
-// keeps learner i voting over only its trusted dimensions (packed
-// bitmask over the learner's local dimensions), while masked[i] true
-// still zeroes the whole vote. Both scoring backends honor the masks.
-var RemaskDims = infer.RemaskDims
+// View builds the serving engine for v over root through cur's backend,
+// sharing the expensive backend state. Pass the unmasked base as root
+// for a quarantine, cur.Model() for a tenant.
+var View = infer.View

@@ -112,21 +112,23 @@ type Model struct {
 	gamma    float64 // resolved base bandwidth (serialization rebuilds encoders from it)
 	inputDim int     // feature width the encoders were built for
 
-	// dimMasks carries per-learner healthy-dimension masks on quarantine
-	// views built by MaskedView: bit d (word d/64, bit d%64, learner-local
-	// dimensions) set means dimension d's class memory is trusted. A nil
-	// outer slice or nil entry means every dimension is trusted — the base
-	// model never carries masks. Scoring treats a masked dimension's class
-	// component as zero, exactly as if the stored value were zeroed.
+	// dimMasks carries per-learner healthy-dimension masks on views built
+	// by View: bit d (word d/64, bit d%64, learner-local dimensions) set
+	// means dimension d's class memory is trusted. A nil outer slice or
+	// nil entry means every dimension is trusted — a trained model never
+	// carries masks. Scoring treats a masked dimension's class component
+	// as zero, exactly as if the stored value were zeroed.
 	dimMasks [][]uint64
 }
 
-// dimMask returns learner i's healthy-dimension mask, or nil when every
-// dimension is trusted.
-func (m *Model) dimMask(i int) []uint64 {
+// DimMask returns learner i's healthy-dimension mask, or nil when every
+// dimension is trusted. Both scoring backends read it, so a view's masks
+// have one source of truth.
+func (m *Model) DimMask(i int) []uint64 {
 	if m.dimMasks == nil {
 		return nil
 	}
+	//hdlint:ignore snapshotalias masks are immutable once a view is built; no path rewrites them
 	return m.dimMasks[i]
 }
 
@@ -247,7 +249,7 @@ func (m *Model) pinLearners() (norms [][]float64, unpin func()) {
 	unpins := make([]func(), len(m.Learners))
 	for i, l := range m.Learners {
 		norms[i], unpins[i] = l.PinClass()
-		if dm := m.dimMask(i); dm != nil {
+		if dm := m.DimMask(i); dm != nil {
 			// A dimension-masked learner scores against class memory with
 			// its untrusted components treated as zero, so the cached
 			// full-width norms do not apply. The class vectors are pinned
@@ -433,7 +435,7 @@ func (m *Model) classifyEncoded(h hdc.Vector, norms [][]float64, sc *inferScratc
 		seg := m.segs[i]
 		hseg := h[seg.lo:seg.hi]
 		var hn float64
-		if dm := m.dimMask(i); dm != nil {
+		if dm := m.DimMask(i); dm != nil {
 			//hdlint:ignore locksafety callers pin the learners (pinLearners) for the whole batch
 			hn = math.Sqrt(segmentDotsMasked(hseg, l.Class, sc.dots, dm))
 		} else {
@@ -608,6 +610,13 @@ func (m *Model) Evaluate(X [][]float64, y []int) (float64, error) {
 
 // InputDim returns the raw feature width the encoders were built for.
 func (m *Model) InputDim() int { return m.inputDim }
+
+// CheckRow validates one raw feature row before it reaches the model:
+// the width must be InputDim and every feature finite and small enough
+// that no projection of the encoder stack can overflow. Serving and
+// training entry points call it once per row, so a bad row is refused
+// alone instead of becoming a label or a poisoned update.
+func (m *Model) CheckRow(x []float64) error { return m.Enc.CheckRow(x) }
 
 // Gamma returns the resolved base kernel bandwidth used at training time
 // (checkpoint formats rebuild the encoder stack from it).

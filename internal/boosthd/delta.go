@@ -57,66 +57,6 @@ func (d *Delta) MemoryBytes() int {
 	return total
 }
 
-// WithDelta returns a tenant view of the base ensemble: the encoder
-// stack, dimension partition, and every non-overridden learner are
-// shared with the base (no copies), overridden learners come from the
-// delta, and the alpha slice is private. The view scores bit-for-bit
-// identically to a fully materialized per-tenant model built by cloning
-// the base and refitting the same learners.
-//
-// Quarantine composition: when the base is a reliability-masked view,
-// its dimension masks carry over for the learners the tenant shares —
-// the tenant must not trust memory the scrubber condemned — while
-// overridden learners drop the mask (their memory is the tenant's own,
-// never the corrupted base planes). Likewise a base alpha of zero (a
-// quarantined or boosting-rejected learner) stays zero in the tenant
-// view unless the tenant overrides that learner: private alphas must
-// not resurrect a learner whose shared memory is untrusted.
-func (m *Model) WithDelta(d *Delta) (*Model, error) {
-	if d == nil {
-		return nil, fmt.Errorf("boosthd: with delta: nil delta")
-	}
-	if d.Alphas != nil && len(d.Alphas) != len(m.Learners) {
-		return nil, fmt.Errorf("boosthd: with delta: %d alphas for %d learners", len(d.Alphas), len(m.Learners))
-	}
-	learners := append([]*onlinehd.HVClassifier(nil), m.Learners...)
-	for i, l := range d.Learners {
-		if i < 0 || i >= len(learners) {
-			return nil, fmt.Errorf("boosthd: with delta: learner %d outside [0,%d)", i, len(learners))
-		}
-		if l == nil {
-			return nil, fmt.Errorf("boosthd: with delta: nil override for learner %d", i)
-		}
-		if l.Dim != m.Learners[i].Dim || l.Classes != m.Learners[i].Classes {
-			return nil, fmt.Errorf("boosthd: with delta: learner %d override is %dx%d, base is %dx%d",
-				i, l.Dim, l.Classes, m.Learners[i].Dim, m.Learners[i].Classes)
-		}
-		learners[i] = l
-	}
-	alphas := d.Alphas
-	if alphas == nil {
-		alphas = m.Alphas
-	}
-	v := &Model{Cfg: m.Cfg, Enc: m.Enc, Learners: learners,
-		Alphas: append([]float64(nil), alphas...),
-		segs:   m.segs, gamma: m.gamma, inputDim: m.inputDim}
-	for i := range v.Alphas {
-		if m.Alphas[i] == 0 {
-			if _, overridden := d.Learners[i]; !overridden {
-				v.Alphas[i] = 0
-			}
-		}
-	}
-	if m.dimMasks != nil {
-		masks := append([][]uint64(nil), m.dimMasks...)
-		for i := range d.Learners {
-			masks[i] = nil
-		}
-		v.dimMasks = masks
-	}
-	return v, nil
-}
-
 // FNV-64 constants for the base-model fingerprint fold.
 const (
 	fpOffset uint64 = 14695981039346656037

@@ -74,7 +74,7 @@ func TestWithDeltaBitForBit(t *testing.T) {
 	pX, py := blobs(60, 0.5, 99)
 	d := deltaFor(t, m, []int{1, 3}, pX, py)
 
-	view, err := m.WithDelta(d)
+	view, err := m.View(View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWithDeltaPrivateAlphas(t *testing.T) {
 	d := deltaFor(t, m, []int{0}, X, y)
 	d.Alphas = append([]float64(nil), m.Alphas...)
 	d.Alphas[2] = 3.5
-	view, err := m.WithDelta(d)
+	view, err := m.View(View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +155,20 @@ func TestWithDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WithDelta(nil); err == nil {
-		t.Error("nil delta accepted")
-	}
-	if _, err := m.WithDelta(&Delta{Learners: map[int]*onlinehd.HVClassifier{9: m.Learners[0]}}); err == nil {
+	if _, err := m.View(View{Delta: &Delta{Learners: map[int]*onlinehd.HVClassifier{9: m.Learners[0]}}}); err == nil {
 		t.Error("out-of-range learner index accepted")
 	}
-	if _, err := m.WithDelta(&Delta{Learners: map[int]*onlinehd.HVClassifier{0: nil}}); err == nil {
+	if _, err := m.View(View{Delta: &Delta{Learners: map[int]*onlinehd.HVClassifier{0: nil}}}); err == nil {
 		t.Error("nil override accepted")
 	}
 	wrong, err := onlinehd.NewHVClassifier(m.Learners[0].Dim+1, m.Cfg.Classes, m.Cfg.LR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WithDelta(&Delta{Learners: map[int]*onlinehd.HVClassifier{0: wrong}}); err == nil {
+	if _, err := m.View(View{Delta: &Delta{Learners: map[int]*onlinehd.HVClassifier{0: wrong}}}); err == nil {
 		t.Error("dimension-mismatched override accepted")
 	}
-	if _, err := m.WithDelta(&Delta{Learners: map[int]*onlinehd.HVClassifier{}, Alphas: []float64{1}}); err == nil {
+	if _, err := m.View(View{Delta: &Delta{Learners: map[int]*onlinehd.HVClassifier{}, Alphas: []float64{1}}}); err == nil {
 		t.Error("short alpha slice accepted")
 	}
 }
@@ -200,7 +197,7 @@ func TestWithDeltaQuarantineComposition(t *testing.T) {
 	}
 	dm[0] = 0 // first 64 dims of learner 3 condemned
 	healthy[3] = dm
-	mv, err := m.MaskedView(masked, healthy)
+	mv, err := m.View(View{Masked: masked, Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +207,7 @@ func TestWithDeltaQuarantineComposition(t *testing.T) {
 	d.Alphas = append([]float64(nil), m.Alphas...)
 	d.Alphas[1] = 1.0
 	d.Alphas[2] = 1.0
-	view, err := mv.WithDelta(d)
+	view, err := mv.View(View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +251,12 @@ func TestWithDeltaDropsOverriddenDimMask(t *testing.T) {
 	words := (m.Learners[0].Dim + 63) / 64
 	dm := make([]uint64, words)
 	healthy[0] = dm // everything condemned
-	mv, err := m.MaskedView(masked, healthy)
+	mv, err := m.View(View{Masked: masked, Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := deltaFor(t, m, []int{0}, X, y)
-	view, err := mv.WithDelta(d)
+	view, err := mv.View(View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +278,7 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("fingerprint not deterministic")
 	}
 	// Alphas are excluded: masks and reweights must not orphan deltas.
-	av := m.AlphaView()
+	av, _ := m.View(View{})
 	av.Alphas[0] = 0
 	if av.Fingerprint() != fp {
 		t.Fatal("alpha change moved the fingerprint")
@@ -319,11 +316,11 @@ func TestSaveLoadDeltaRoundTrip(t *testing.T) {
 	if tenant != "ward-7" {
 		t.Fatalf("tenant name %q after round trip", tenant)
 	}
-	view1, err := m.WithDelta(d)
+	view1, err := m.View(View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
-	view2, err := m.WithDelta(got)
+	view2, err := m.View(View{Delta: got})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,9 @@ type hdEncoder interface {
 	// StateBytes reports the stack's resident encoder state — the number
 	// the rematerialized-projection mode exists to shrink.
 	StateBytes() int
+	// CheckRow validates one raw feature row against every projection
+	// of the stack (see encoding.Encoder.CheckRow).
+	CheckRow(x []float64) error
 }
 
 // singleEncoder adapts one shared full-width projection to the hdEncoder
@@ -85,9 +88,10 @@ func bitColumns(buf *[encoding.BatchRowBlock]*hdc.BitVector, n int) []*hdc.BitVe
 // for fine structure — which is diversity a single shared bandwidth
 // cannot provide.
 type spreadEncoder struct {
-	encs []*encoding.Encoder // one per segment
-	offs []int               // segment start offset within the full width
-	out  int
+	encs   []*encoding.Encoder // one per segment
+	offs   []int               // segment start offset within the full width
+	out    int
+	strict *encoding.Encoder // the sub-encoder with the smallest feature limit
 }
 
 // newSubEncoder builds one projection for the stack, honoring the
@@ -126,9 +130,17 @@ func newSpreadEncoder(features int, cfg Config, gamma float64) (hdEncoder, error
 		}
 		se.encs = append(se.encs, enc)
 		se.offs = append(se.offs, s.lo)
+		if se.strict == nil || enc.FeatureLimit() < se.strict.FeatureLimit() {
+			se.strict = enc
+		}
 	}
 	return se, nil
 }
+
+// CheckRow validates x against the sub-encoder with the smallest feature
+// limit: every projection of the stack shares the input width, so a row
+// that one admits, all admit.
+func (se *spreadEncoder) CheckRow(x []float64) error { return se.strict.CheckRow(x) }
 
 func pow(base, exp float64) float64 {
 	if base <= 0 {

@@ -34,8 +34,8 @@ func (m *Model) Update(x []float64, label int) (changed []int, err error) {
 	if label < 0 || label >= m.Cfg.Classes {
 		return nil, fmt.Errorf("boosthd: update label %d outside [0,%d)", label, m.Cfg.Classes)
 	}
-	if len(x) != m.inputDim {
-		return nil, fmt.Errorf("boosthd: update sample has %d features, model expects %d", len(x), m.inputDim)
+	if err := m.CheckRow(x); err != nil {
+		return nil, fmt.Errorf("boosthd: update: %w", err)
 	}
 	h, err := m.Enc.Encode(x)
 	if err != nil {
@@ -69,8 +69,8 @@ func (m *Model) UpdateBatch(X [][]float64, y []int) (changedRows int, changed []
 		if y[i] < 0 || y[i] >= m.Cfg.Classes {
 			return 0, nil, fmt.Errorf("boosthd: update label %d at row %d outside [0,%d)", y[i], i, m.Cfg.Classes)
 		}
-		if len(row) != m.inputDim {
-			return 0, nil, fmt.Errorf("boosthd: update row %d has %d features, model expects %d", i, len(row), m.inputDim)
+		if err := m.CheckRow(row); err != nil {
+			return 0, nil, fmt.Errorf("boosthd: update row %d: %w", i, err)
 		}
 	}
 	D := m.Cfg.TotalDim
@@ -116,73 +116,6 @@ func (m *Model) UpdateBatch(X [][]float64, y []int) (changedRows int, changed []
 	return changedRows, finish(), nil
 }
 
-// AlphaView returns a model that shares this model's encoder stack and
-// learner class memories — every read and write of the shared memory
-// stays mediated by the HVClassifier locks — but owns a private copy of
-// the boosting alphas. It is the swap unit for an alpha-only retrain:
-// reweight the view's alphas over a buffer (its learners keep serving
-// and keep absorbing streaming updates the whole time, so no update is
-// ever lost to the swap) and install it as the serving model.
-func (m *Model) AlphaView() *Model {
-	return &Model{
-		Cfg:      m.Cfg,
-		Enc:      m.Enc,
-		Learners: m.Learners,
-		Alphas:   append([]float64(nil), m.Alphas...),
-		segs:     m.segs,
-		gamma:    m.gamma,
-		inputDim: m.inputDim,
-	}
-}
-
-// MaskedAlphaView returns an AlphaView with the quarantined learners'
-// votes zeroed: masked[i] true sets the view's alpha_i to 0, and the
-// scoring paths skip zero-alpha learners entirely (their memory — the
-// reason they were masked — is never read). This is the reliability
-// subsystem's quarantine unit: the ensemble's vote redundancy lets the
-// remaining learners keep serving while a corrupted one is silenced,
-// and because the view shares the live learners, repair work (SetClass
-// restores, streaming updates) lands in memory the view serves.
-func (m *Model) MaskedAlphaView(masked []bool) (*Model, error) {
-	return m.MaskedView(masked, nil)
-}
-
-// MaskedView is the two-tier quarantine view: masked[i] true zeroes
-// learner i's whole vote (its memory is never read), while healthy[i]
-// non-nil keeps learner i voting but treats the class-memory components
-// at its zero bits as zero — the dimension-granular quarantine for a
-// learner where fault attribution localized the corruption to specific
-// word ranges. healthy is learner-major packed bitmasks over each
-// learner's local dimensions (bit d of word d/64); a nil outer slice or
-// nil entry trusts every dimension. Like MaskedAlphaView, the view
-// shares the live learners, so repairs land in memory the view serves.
-func (m *Model) MaskedView(masked []bool, healthy [][]uint64) (*Model, error) {
-	if len(masked) != len(m.Learners) {
-		return nil, fmt.Errorf("boosthd: %d mask entries for %d learners", len(masked), len(m.Learners))
-	}
-	if healthy != nil && len(healthy) != len(m.Learners) {
-		return nil, fmt.Errorf("boosthd: %d dimension masks for %d learners", len(healthy), len(m.Learners))
-	}
-	v := m.AlphaView()
-	for i, q := range masked {
-		if q {
-			v.Alphas[i] = 0
-		}
-	}
-	if healthy != nil {
-		for i, hm := range healthy {
-			if hm == nil {
-				continue
-			}
-			if want := (m.Learners[i].Dim + 63) / 64; len(hm) != want {
-				return nil, fmt.Errorf("boosthd: learner %d dimension mask has %d words, want %d", i, len(hm), want)
-			}
-		}
-		v.dimMasks = healthy
-	}
-	return v, nil
-}
-
 // EvaluateLearners scores each weak learner standalone on a labeled set:
 // rows are encoded once and every learner predicts from its own dimension
 // segment, unweighted by alpha. This is the reliability canary probe — a
@@ -204,7 +137,7 @@ func (m *Model) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 			sub[r] = h.Slice(seg.lo, seg.hi)
 		}
 		var preds []int
-		if dm := m.dimMask(i); dm != nil {
+		if dm := m.DimMask(i); dm != nil {
 			// A dimension-masked learner must be probed the way it serves:
 			// untrusted class components read as zero, norms to match —
 			// the canary then measures the masked learner's real residual

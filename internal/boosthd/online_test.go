@@ -1,6 +1,7 @@
 package boosthd
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -46,6 +47,48 @@ func TestUpdateValidatesAndAdapts(t *testing.T) {
 	}
 	if right < 30 {
 		t.Fatalf("after streaming updates only %d/40 rows follow the stream label", right)
+	}
+}
+
+// TestUpdateRejectsNonFiniteRow: a row whose encoding would overflow —
+// here every feature 1e308 — is refused by Update and UpdateBatch before
+// any learner moves, so the class memory stays bit-identical and the
+// model keeps its accuracy. UpdateBatch validates every row first: a bad
+// last row leaves the good rows before it unapplied too.
+func TestUpdateRejectsNonFiniteRow(t *testing.T) {
+	m, queries := regressionFixture(t, Score, 0)
+	bits := func() []uint64 {
+		var out []uint64
+		for _, class := range m.ClassVectors() {
+			for _, cv := range class {
+				for _, v := range cv {
+					out = append(out, math.Float64bits(v))
+				}
+			}
+		}
+		return out
+	}
+	before := bits()
+	bad := make([]float64, len(queries[0]))
+	for k := range bad {
+		bad[k] = 1e308
+	}
+	if _, err := m.Update(bad, 0); err == nil {
+		t.Fatal("update with a 1e308 row accepted")
+	}
+	nan := append([]float64(nil), queries[0]...)
+	nan[1] = math.NaN()
+	if _, err := m.Update(nan, 0); err == nil {
+		t.Fatal("update with a NaN feature accepted")
+	}
+	if _, _, err := m.UpdateBatch([][]float64{queries[0], queries[1], bad}, []int{1, 2, 0}); err == nil {
+		t.Fatal("update batch with a 1e308 row accepted")
+	}
+	after := bits()
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("class memory word %d moved through a rejected update", i)
+		}
 	}
 }
 
@@ -119,7 +162,7 @@ func TestUpdateBatchMatchesCounters(t *testing.T) {
 // its alpha vector is private.
 func TestAlphaViewSharesLearners(t *testing.T) {
 	m, queries := regressionFixture(t, Score, 0)
-	v := m.AlphaView()
+	v, _ := m.View(View{})
 	for i, l := range v.Learners {
 		if l != m.Learners[i] {
 			t.Fatalf("learner %d not shared", i)

@@ -85,6 +85,9 @@ type Encoder struct {
 	// which costs one trigonometric evaluation per component instead of
 	// two on the inference hot path.
 	halfSinB []float64
+
+	// limit is the feature magnitude CheckRow admits (see featureLimit).
+	limit float64
 }
 
 // DefaultGamma returns the default kernel bandwidth for inDim features:
@@ -120,9 +123,19 @@ func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Enc
 		w:      make([]float64, outDim*inDim),
 		b:      make([]float64, outDim),
 	}
-	for i := range e.w {
-		e.w[i] = rng.NormFloat64()
+	// The largest |weight| is tracked as the weights are drawn; the local
+	// slice keeps the loop from reloading e.w after every call.
+	w, maxW := e.w, 0.0
+	for i := range w {
+		v := rng.NormFloat64()
+		w[i] = v
+		if v > maxW {
+			maxW = v
+		} else if -v > maxW {
+			maxW = -v
+		}
 	}
+	e.limit = featureLimit(inDim, gamma, maxW)
 	for i := range e.b {
 		e.b[i] = rng.Float64() * 2 * math.Pi
 	}
@@ -135,7 +148,37 @@ func NewWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64) (*Enc
 	return e, nil
 }
 
-// checkRow validates one feature row.
+// featureLimit is the feature magnitude below which no partial sum of
+// Gamma*<w_j, x> can overflow: each is at most InDim*maxW*max|x_k|, so
+// the cap keeps the dot product, the scaled phase and the nonlinear
+// activation's doubled phase below MaxFloat64/2. maxW is the largest
+// |weight| of the projection; values below 1 count as 1.
+func featureLimit(inDim int, gamma, maxW float64) float64 {
+	return math.MaxFloat64 / (4 * float64(inDim) * math.Max(1, maxW) * math.Max(1, gamma))
+}
+
+// FeatureLimit returns the bound CheckRow holds every |feature| below.
+func (e *Encoder) FeatureLimit() float64 { return e.limit }
+
+// CheckRow validates one feature row before it is encoded: the width
+// must be InDim, and every feature finite with magnitude below
+// FeatureLimit, so the projection can never overflow into ±Inf or NaN —
+// which would otherwise surface as a confident label, or poison every
+// learner through an online update. Serving and training entry points
+// call it once per row; the kernels themselves check only the width.
+func (e *Encoder) CheckRow(x []float64) error {
+	if err := e.checkRow(x); err != nil {
+		return err
+	}
+	for k, v := range x {
+		if !(math.Abs(v) < e.limit) {
+			return fmt.Errorf("encoding: feature %d is %v; features must be finite with magnitude below %.4g", k, v, e.limit)
+		}
+	}
+	return nil
+}
+
+// checkRow validates one feature row's width.
 func (e *Encoder) checkRow(x []float64) error {
 	if len(x) != e.InDim {
 		return fmt.Errorf("encoding: feature length %d != InDim %d", len(x), e.InDim)

@@ -253,3 +253,61 @@ func TestIDLevelSeparatesInputs(t *testing.T) {
 		t.Error("ID-level encoding should place similar inputs closer")
 	}
 }
+
+// TestCheckRowRejectsNonFinite: the row validator refuses NaN, ±Inf and
+// features large enough to overflow the projection, on every kind and
+// projection mode, and a row just inside the limit — all features the
+// same sign, the worst case for the dot product — still encodes to
+// finite values.
+func TestCheckRowRejectsNonFinite(t *testing.T) {
+	const inDim, outDim = 36, 128
+	for _, kind := range []Kind{Nonlinear, RFF, Linear} {
+		for _, proj := range []Projection{ProjStored, ProjSeededStored, ProjSeeded} {
+			var e *Encoder
+			var err error
+			if proj == ProjStored {
+				e, err = NewWithGamma(inDim, outDim, kind, 3, 5)
+			} else {
+				e, err = NewSeededWithGamma(inDim, outDim, kind, 3, 5, proj)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := func(v float64) []float64 {
+				x := make([]float64, inDim)
+				for k := range x {
+					x[k] = 0.5
+				}
+				x[inDim/2] = v
+				return x
+			}
+			if err := e.CheckRow(row(-1.5)); err != nil {
+				t.Fatalf("%v/%v: ordinary row refused: %v", kind, proj, err)
+			}
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308} {
+				if err := e.CheckRow(row(bad)); err == nil {
+					t.Errorf("%v/%v: feature %v accepted", kind, proj, bad)
+				}
+			}
+			if err := e.CheckRow(make([]float64, inDim-1)); err == nil {
+				t.Errorf("%v/%v: short row accepted", kind, proj)
+			}
+			edge := make([]float64, inDim)
+			for k := range edge {
+				edge[k] = 0.999 * e.FeatureLimit()
+			}
+			if err := e.CheckRow(edge); err != nil {
+				t.Fatalf("%v/%v: row inside the limit refused: %v", kind, proj, err)
+			}
+			h, err := e.Encode(edge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range h {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%v/%v: component %d of an admitted row is %v", kind, proj, j, v)
+				}
+			}
+		}
+	}
+}

@@ -156,6 +156,7 @@ func NewSeededWithGamma(inDim, outDim int, kind Kind, gamma float64, seed int64,
 		Gamma:  gamma,
 		Proj:   proj,
 		wpr:    (inDim + 63) / 64,
+		limit:  featureLimit(inDim, gamma, 1), // Rademacher weights are ±1
 	}
 	e.wBase, e.bBase = seededBases(seed)
 	if proj == ProjSeeded {

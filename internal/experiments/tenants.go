@@ -184,11 +184,11 @@ func RunTenants(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		viewFloat, err := baseFloat.WithDelta(d)
+		viewFloat, err := infer.View(baseFloat, base, boosthd.View{Delta: d})
 		if err != nil {
 			return nil, err
 		}
-		viewBin, err := baseBin.WithDelta(d)
+		viewBin, err := infer.View(baseBin, base, boosthd.View{Delta: d})
 		if err != nil {
 			return nil, err
 		}

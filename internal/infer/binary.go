@@ -105,15 +105,6 @@ type BinaryModel struct {
 	segDims []int // segment widths, learner-major
 	frozen  bool  // cold-loaded snapshot: no float memory to re-quantize from
 
-	// dimMasks carries per-learner healthy-dimension masks on quarantine
-	// views (withView): bit d set means dimension d of that learner's
-	// quantized memory is trusted. Scoring ANDs the mask into the
-	// confidence mask and renormalizes by the surviving popcount, so a
-	// partially masked learner votes with full weight from its healthy
-	// dimensions — exactly as if the untrusted words had been dropped
-	// from the confidence mask at quantize time. nil trusts everything.
-	dimMasks [][]uint64
-
 	mu   sync.Mutex                   // serializes re-quantization
 	snap atomic.Pointer[quantization] // current snapshot; never nil
 }
@@ -272,22 +263,28 @@ func (bm *BinaryModel) Rethreshold(learners ...int) error {
 		bm.snap.Store(snapshot(bm.model, nil))
 		return nil
 	}
-	prev := bm.snap.Load()
-	qz := &quantization{
-		class:    append([][]*hdc.BitVector(nil), prev.class...),
-		mask:     append([][]*hdc.BitVector(nil), prev.mask...),
-		maskOnes: append([][]float64(nil), prev.maskOnes...),
-		versions: append([]uint64(nil), prev.versions...),
-		planes:   append([][]uint64(nil), prev.planes...),
+	bm.snap.Store(bm.snap.Load().overlay(bm.model, learners))
+	return nil
+}
+
+// overlay returns a snapshot sharing every learner's planes with qz
+// except learners idx, which are re-thresholded from m's float class
+// memory, each under its learner's read lock.
+func (qz *quantization) overlay(m *boosthd.Model, idx []int) *quantization {
+	next := &quantization{
+		class:    append([][]*hdc.BitVector(nil), qz.class...),
+		mask:     append([][]*hdc.BitVector(nil), qz.mask...),
+		maskOnes: append([][]float64(nil), qz.maskOnes...),
+		versions: append([]uint64(nil), qz.versions...),
+		planes:   append([][]uint64(nil), qz.planes...),
 	}
-	for _, i := range learners {
-		bm.model.Learners[i].ReadClass(func(class []hdc.Vector, version uint64) {
-			qz.versions[i] = version
-			qz.quantizeLearner(i, class)
+	for _, i := range idx {
+		m.Learners[i].ReadClass(func(class []hdc.Vector, version uint64) {
+			next.versions[i] = version
+			next.quantizeLearner(i, class)
 		})
 	}
-	bm.snap.Store(qz)
-	return nil
+	return next
 }
 
 // syncQuantization re-thresholds if the float model mutated since the
@@ -473,11 +470,7 @@ func (bm *BinaryModel) predictBits(qz *quantization, q []*hdc.BitVector, agg, sc
 			// aggregate a plain 0-weighted add was supposed to ignore.
 			continue
 		}
-		var healthy []uint64
-		if bm.dimMasks != nil {
-			healthy = bm.dimMasks[i]
-		}
-		scoreLearner(qz, i, q[i].Words, healthy, scores[:classes])
+		scoreLearner(qz, i, q[i].Words, bm.model.DimMask(i), scores[:classes])
 		aggregateLearner(score, bm.model.Alphas[i], scores[:classes], agg[:classes])
 	}
 	return argmax(agg[:classes])
@@ -506,11 +499,7 @@ func (bm *BinaryModel) predictBits4(qz *quantization, q0, q1, q2, q3 []*hdc.BitV
 			continue
 		}
 		w0, w1, w2, w3 := q0[i].Words, q1[i].Words, q2[i].Words, q3[i].Words
-		var healthy []uint64
-		if bm.dimMasks != nil {
-			healthy = bm.dimMasks[i]
-		}
-		if healthy != nil {
+		if healthy := bm.model.DimMask(i); healthy != nil {
 			scoreLearner(qz, i, w0, healthy, scores[0][:classes])
 			scoreLearner(qz, i, w1, healthy, scores[1][:classes])
 			scoreLearner(qz, i, w2, healthy, scores[2][:classes])
@@ -663,30 +652,10 @@ func (bm *BinaryModel) PredictBatchStaged(X [][]float64, stages *obs.StageTimes)
 // nothing downstream re-thresholds it away — detection is the
 // reliability scrubber's job. It returns the number of flipped bits.
 func (bm *BinaryModel) InjectWordFaults(inj *faults.Injector) int {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	qz := bm.snap.Load()
-	corrupt := &quantization{
-		class:    make([][]*hdc.BitVector, len(qz.class)),
-		mask:     make([][]*hdc.BitVector, len(qz.mask)),
-		maskOnes: qz.maskOnes, // stored popcounts stay stale on purpose
-		versions: qz.versions,
-		planes:   make([][]uint64, len(qz.planes)),
-	}
 	flips := 0
-	for i := range qz.class {
-		corrupt.class[i] = make([]*hdc.BitVector, len(qz.class[i]))
-		corrupt.mask[i] = make([]*hdc.BitVector, len(qz.mask[i]))
-		for c := range qz.class[i] {
-			sign := qz.class[i][c].Clone()
-			mask := qz.mask[i][c].Clone()
-			flips += inj.InjectWords(sign.Words, mask.Words)
-			corrupt.class[i][c] = sign
-			corrupt.mask[i][c] = mask
-		}
-		corrupt.packLearner(i)
-	}
-	bm.snap.Store(corrupt)
+	bm.ApplyWordRepair(false, func(_, _ int, sign, mask []uint64) {
+		flips += inj.InjectWords(sign, mask)
+	})
 	return flips
 }
 
@@ -705,83 +674,30 @@ func (bm *BinaryModel) ReadPlanes(fn func(learner, class int, version uint64, si
 	}
 }
 
-// withView returns a BinaryModel serving the same quantized snapshot
-// through a different model view (shared learners, private alphas) —
-// the quarantine path's engine rebuild, which must not pay (or trust!)
-// a re-quantization of possibly-corrupted float memory. healthy, when
-// non-nil, installs per-learner dimension masks (see dimMasks) on the
-// view; word counts must match each learner's plane width.
-func (bm *BinaryModel) withView(view *boosthd.Model, healthy [][]uint64) (*BinaryModel, error) {
-	if healthy != nil {
-		if len(healthy) != len(bm.segDims) {
-			return nil, fmt.Errorf("infer: %d dimension masks for %d learners", len(healthy), len(bm.segDims))
-		}
-		for i, hm := range healthy {
-			if hm == nil {
-				continue
-			}
-			if want := (bm.segDims[i] + 63) / 64; len(hm) != want {
-				return nil, fmt.Errorf("infer: learner %d dimension mask has %d words, want %d", i, len(hm), want)
-			}
-		}
-	}
-	out := &BinaryModel{model: view, segDims: bm.segDims, frozen: bm.frozen, dimMasks: healthy}
-	out.snap.Store(bm.snap.Load())
-	return out, nil
-}
-
-// WithDelta returns a BinaryModel serving a tenant view: the quantized
-// snapshot is the base's with only the overridden learners' planes
-// re-thresholded from the delta's float class memory, so a fleet of
-// tenant views shares every base learner's packed planes and pays
-// quantization (and memory) only for its own overrides. Because
+// view returns a BinaryModel serving the float view mv (boosthd.Model.View
+// over a model of this snapshot's geometry) from this snapshot. Every
+// learner's planes are shared except requantize — a tenant delta's
+// overrides — which are re-thresholded from mv's float memory. Because
 // quantizeLearner is deterministic in the class vectors, the overlay is
-// bit-for-bit the snapshot a full per-tenant re-quantization would
-// build. view is the float-side tenant view (boosthd.Model.WithDelta
-// over this model's base); overridden lists the delta's learner indexes.
-//
-// The overlay works over a frozen base too: the base learners' planes
-// carry over untouched (no float memory needed), and the overridden
-// learners quantize from the delta's own float memory.
-func (bm *BinaryModel) WithDelta(view *boosthd.Model, overridden []int) (*BinaryModel, error) {
-	if len(view.Learners) != len(bm.segDims) {
-		return nil, fmt.Errorf("infer: with delta: view has %d learners, snapshot has %d",
-			len(view.Learners), len(bm.segDims))
+// bit-for-bit the snapshot a full re-quantization of the materialized
+// model would build, so a fleet of tenant views shares every base plane
+// and pays quantization only for its own overrides. Dimension masks are
+// not copied here: the scorers read them from mv. The overlay works
+// over a frozen snapshot too: base planes carry over untouched and the
+// overrides quantize from the tenant's own float memory.
+func (bm *BinaryModel) view(mv *boosthd.Model, requantize []int) (*BinaryModel, error) {
+	if len(mv.Learners) != len(bm.segDims) {
+		return nil, fmt.Errorf("infer: view has %d learners, snapshot has %d", len(mv.Learners), len(bm.segDims))
 	}
-	for _, i := range overridden {
-		if i < 0 || i >= len(bm.segDims) {
-			return nil, fmt.Errorf("infer: with delta: learner %d outside [0,%d)", i, len(bm.segDims))
-		}
-		if view.Learners[i].Dim != bm.segDims[i] {
-			return nil, fmt.Errorf("infer: with delta: learner %d override dim %d, snapshot dim %d",
-				i, view.Learners[i].Dim, bm.segDims[i])
+	for i, l := range mv.Learners {
+		if l.Dim != bm.segDims[i] {
+			return nil, fmt.Errorf("infer: view learner %d is %d dims, snapshot has %d", i, l.Dim, bm.segDims[i])
 		}
 	}
-	out := &BinaryModel{model: view, segDims: bm.segDims, frozen: bm.frozen}
-	if bm.dimMasks != nil {
-		// Quarantine composition mirrors the float view: shared learners
-		// keep the base's dimension masks, overridden learners drop them —
-		// their planes quantize from the tenant's own memory, never the
-		// condemned base words.
-		masks := append([][]uint64(nil), bm.dimMasks...)
-		for _, i := range overridden {
-			masks[i] = nil
-		}
-		out.dimMasks = masks
-	}
-	prev := bm.snap.Load()
-	qz := &quantization{
-		class:    append([][]*hdc.BitVector(nil), prev.class...),
-		mask:     append([][]*hdc.BitVector(nil), prev.mask...),
-		maskOnes: append([][]float64(nil), prev.maskOnes...),
-		versions: append([]uint64(nil), prev.versions...),
-		planes:   append([][]uint64(nil), prev.planes...),
-	}
-	for _, i := range overridden {
-		view.Learners[i].ReadClass(func(class []hdc.Vector, version uint64) {
-			qz.versions[i] = version
-			qz.quantizeLearner(i, class)
-		})
+	out := &BinaryModel{model: mv, segDims: bm.segDims, frozen: bm.frozen}
+	qz := bm.snap.Load()
+	if len(requantize) > 0 {
+		qz = qz.overlay(mv, requantize)
 	}
 	out.snap.Store(qz)
 	return out, nil
@@ -859,33 +775,11 @@ func (bm *BinaryModel) EvaluateLearners(X [][]float64, y []int) ([]float64, erro
 		}
 		for r := lo; r < hi; r++ {
 			qr := q[r-lo]
-			for i, cls := range qz.class {
-				qi := qr[i]
-				var healthy []uint64
-				if bm.dimMasks != nil {
-					healthy = bm.dimMasks[i]
-				}
-				for c, cb := range cls {
-					mb := qz.mask[i][c]
-					if healthy == nil {
-						dis := 0
-						for w, qw := range qi.Words {
-							dis += popcount((qw ^ cb.Words[w]) & mb.Words[w])
-						}
-						scores[c] = 1 - 2*float64(dis)/qz.maskOnes[i][c]
-						continue
-					}
-					// Probe a dimension-quarantined learner the way it
-					// serves: untrusted words out, popcount renormalized.
-					scores[c] = maskedPlaneScore(qi.Words, cb.Words, mb.Words, healthy)
-				}
-				best := 0
-				for c := 1; c < classes; c++ {
-					if scores[c] > scores[best] {
-						best = c
-					}
-				}
-				if best == y[r] {
+			for i := range qz.class {
+				// A dimension-quarantined learner is probed the way it
+				// serves: untrusted words out, popcount renormalized.
+				scoreLearner(qz, i, qr[i].Words, bm.model.DimMask(i), scores)
+				if argmax(scores) == y[r] {
 					right[i]++
 				}
 			}

@@ -24,10 +24,7 @@ func referencePredictBits(bm *BinaryModel, qz *quantization, q []*hdc.BitVector,
 			continue
 		}
 		qi := q[i]
-		var healthy []uint64
-		if bm.dimMasks != nil {
-			healthy = bm.dimMasks[i]
-		}
+		healthy := bm.model.DimMask(i)
 		for c, cb := range cls {
 			mb := qz.mask[i][c]
 			if healthy == nil {
@@ -220,9 +217,9 @@ func TestBlockedKernelMatchesWordLoopQuarantined(t *testing.T) {
 		}
 		healthy[i] = hm
 	}
-	view, err := bm.withView(bm.model, healthy)
+	eng, err := View(NewEngineFromBinary(bm), m, boosthd.View{Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertKernelsMatchReference(t, "dim-quarantine", view, X)
+	assertKernelsMatchReference(t, "dim-quarantine", eng.Binary(), X)
 }

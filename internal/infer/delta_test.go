@@ -80,7 +80,7 @@ func materializeModel(t *testing.T, m *boosthd.Model, d *boosthd.Delta) *boosthd
 func TestEngineWithDeltaFloat(t *testing.T) {
 	m, X, y := fixture(t, 2048, 4)
 	d := tenantDelta(t, m, []int{1, 3}, X[:80], y[:80])
-	view, err := NewEngine(m).WithDelta(d)
+	view, err := View(NewEngine(m), m, boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEngineWithDeltaBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := base.WithDelta(d)
+	view, err := View(base, base.Model(), boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestEngineWithDeltaBinaryUnderDimMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maskedBase, err := RemaskDims(binEng, m, noMask, healthy)
+	maskedBase, err := View(binEng, m, boosthd.View{Masked: noMask, Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEngineWithDeltaBinaryUnderDimMask(t *testing.T) {
 	// test pins both rules: learner 0 keeps its mask (shared), learner 2
 	// drops it (tenant memory).
 	d := tenantDelta(t, m, []int{2}, X[:80], y[:80])
-	view, err := maskedBase.WithDelta(d)
+	view, err := View(maskedBase, maskedBase.Model(), boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEngineWithDeltaBinaryUnderDimMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RemaskDims(fullEng, full, noMask, refHealthy)
+	ref, err := View(fullEng, full, boosthd.View{Masked: noMask, Healthy: refHealthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +217,13 @@ func TestEngineWithDeltaFrozenBase(t *testing.T) {
 		t.Fatal("reloaded snapshot not frozen")
 	}
 	d := tenantDelta(t, m, []int{1}, X[:80], y[:80])
-	view, err := frozen.WithDelta(d)
+	view, err := View(frozen, frozen.Model(), boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference: the unfrozen engine with the same delta — plane overlay
 	// over identical base planes.
-	ref, err := eng.WithDelta(d)
+	ref, err := View(eng, eng.Model(), boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package infer
 import (
 	"testing"
 
+	"boosthd/internal/boosthd"
 	"boosthd/internal/hdc"
 )
 
@@ -58,7 +59,7 @@ func TestDimMaskEquivalenceFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	masked, err := RemaskDims(NewEngine(m), m, noMask, healthy)
+	masked, err := View(NewEngine(m), m, boosthd.View{Masked: noMask, Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestDimMaskEquivalenceBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked, err := RemaskDims(binEng, m, noMask, healthy)
+	masked, err := View(binEng, m, boosthd.View{Masked: noMask, Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestDimMaskComposesWithAlphaMask(t *testing.T) {
 			}
 		})
 	}
-	refView, err := ref.MaskedAlphaView(masked)
+	refView, err := ref.View(boosthd.View{Masked: masked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestDimMaskComposesWithAlphaMask(t *testing.T) {
 			}
 		}
 	})
-	eng, err := RemaskDims(NewEngine(m), m, masked, healthy)
+	eng, err := View(NewEngine(m), m, boosthd.View{Masked: masked, Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,40 +126,29 @@ func (e *Engine) EvaluateLearners(X [][]float64, y []int) ([]float64, error) {
 	return e.model.EvaluateLearners(X, y)
 }
 
-// Remask builds the serving engine for a quarantine mask: an
-// alpha-masked view of base — the model whose Alphas carry the true
-// boosting weights, so learners can be unmasked again after repair —
-// served through cur's backend. masked[i] true zeroes learner i's vote,
-// and the scoring paths never touch that learner's (possibly corrupted)
-// memory. The expensive backend state is shared, not rebuilt: the view
-// shares base's live learners, and a packed-binary view additionally
-// shares cur's current quantized snapshot, so a quarantine never
-// re-thresholds from float memory it has no reason to trust. The result
-// is the reliability subsystem's swap unit: hand it to serve.Server.Swap
-// and requests atomically stop counting the quarantined learners.
-func Remask(cur *Engine, base *boosthd.Model, masked []bool) (*Engine, error) {
-	return RemaskDims(cur, base, masked, nil)
-}
-
-// RemaskDims is the two-tier quarantine rebuild: masked[i] true zeroes
-// learner i's whole vote (as Remask), while healthy[i] non-nil keeps
-// learner i voting over only its trusted dimensions — the packed-binary
-// path ANDs the mask into the confidence masks with popcount
-// renormalization, the float path zeroes the masked class components
-// with matching norms. healthy is learner-major packed bitmasks over
-// each learner's local dimensions; nil (outer or entry) trusts all.
-// Like Remask, backend state is shared, never rebuilt or re-trusted.
-func RemaskDims(cur *Engine, base *boosthd.Model, masked []bool, healthy [][]uint64) (*Engine, error) {
-	view, err := base.MaskedView(masked, healthy)
+// View builds the engine serving v over root (see boosthd.Model.View)
+// through cur's backend — the one constructor behind quarantines and
+// tenant views. root supplies the weights: the unmasked base for a
+// quarantine, so repair can unmask; cur.Model() for a tenant, so the
+// overrides compose onto whatever quarantine cur serves. A packed-binary
+// view shares cur's quantized snapshot and re-thresholds only a delta's
+// overrides, so a quarantine never re-trusts float memory. The result
+// predicts bit-for-bit like an engine over the materialized model.
+func View(cur *Engine, root *boosthd.Model, v boosthd.View) (*Engine, error) {
+	mv, err := root.View(v)
 	if err != nil {
-		return nil, fmt.Errorf("infer: remask: %w", err)
+		return nil, fmt.Errorf("infer: %w", err)
 	}
-	if cur.backend == PackedBinary {
-		bin, err := cur.bin.withView(view, healthy)
-		if err != nil {
-			return nil, fmt.Errorf("infer: remask: %w", err)
-		}
-		return &Engine{model: view, backend: PackedBinary, bin: bin}, nil
+	if cur.backend != PackedBinary {
+		return &Engine{model: mv, backend: Float}, nil
 	}
-	return &Engine{model: view, backend: Float}, nil
+	var requantize []int
+	if v.Delta != nil {
+		requantize = v.Delta.Indexes()
+	}
+	bin, err := cur.bin.view(mv, requantize)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{model: mv, backend: PackedBinary, bin: bin}, nil
 }

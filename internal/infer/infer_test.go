@@ -383,7 +383,7 @@ func TestRemaskSkipsPoisonedLearner(t *testing.T) {
 	pristine := m.Clone()
 	mask := []bool{false, true, false, false}
 
-	view, err := pristine.MaskedAlphaView(mask)
+	view, err := pristine.View(boosthd.View{Masked: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestRemaskSkipsPoisonedLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBin, err := Remask(pb, pb.Model(), mask)
+	refBin, err := View(pb, pb.Model(), boosthd.View{Masked: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestRemaskSkipsPoisonedLearner(t *testing.T) {
 			}
 		}
 	})
-	floatEng, err := Remask(NewEngine(m), m, mask)
+	floatEng, err := View(NewEngine(m), m, boosthd.View{Masked: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestRemaskSkipsPoisonedLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binMasked, err := Remask(binEng, m, mask)
+	binMasked, err := View(binEng, m, boosthd.View{Masked: mask})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestDimQuarantineMasksOnlyCorruptedWords(t *testing.T) {
 	}
 	hm[word] = 0
 	healthy[target] = hm
-	refEng, err := infer.RemaskDims(pristineEng, pristine, make([]bool, len(m.Learners)), healthy)
+	refEng, err := infer.View(pristineEng, pristine, boosthd.View{Masked: make([]bool, len(m.Learners)), Healthy: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +570,7 @@ func TestDimMaskedServingUnderLoad(t *testing.T) {
 			}
 			hm[seg] = 0
 			healthy[target] = hm
-			refEng, err := infer.RemaskDims(pristineEng, pristine, make([]bool, len(m.Learners)), healthy)
+			refEng, err := infer.View(pristineEng, pristine, boosthd.View{Masked: make([]bool, len(m.Learners)), Healthy: healthy})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -553,7 +553,6 @@ func (mo *Monitor) baselineCanaryLocked() error {
 	var crit [][]float64
 	if err == nil && maxSegs > 1 {
 		crit = make([][]float64, maxSegs)
-		noMask := make([]bool, len(dims))
 		for s := 0; s < maxSegs && err == nil; s++ {
 			healthy := make([][]uint64, len(dims))
 			any := false
@@ -568,7 +567,7 @@ func (mo *Monitor) baselineCanaryLocked() error {
 				continue
 			}
 			var eng *infer.Engine
-			eng, err = infer.RemaskDims(cur, base, noMask, healthy)
+			eng, err = infer.View(cur, base, boosthd.View{Healthy: healthy})
 			if err == nil {
 				crit[s], err = eng.EvaluateLearners(canaryX, canaryY)
 			}
@@ -1026,7 +1025,7 @@ func (mo *Monitor) healthyMasksLocked() [][]uint64 {
 // stale masked view must NOT revert that swap, so nothing is installed
 // and the next scrub adopts the new engine and re-evaluates.
 func (mo *Monitor) installMaskLocked() (bool, error) {
-	eng, err := infer.RemaskDims(mo.cur, mo.base, mo.masked, mo.healthyMasksLocked())
+	eng, err := infer.View(mo.cur, mo.base, boosthd.View{Masked: mo.masked, Healthy: mo.healthyMasksLocked()})
 	if err != nil {
 		return false, fmt.Errorf("reliability: %w", err)
 	}
@@ -1266,7 +1265,7 @@ func (mo *Monitor) Repair() (RepairReport, error) {
 	if rethErr == nil {
 		fresh = signModel(base, cur.Binary(), segWords)
 		if len(canaryX) > 0 {
-			candEng, err := infer.RemaskDims(cur, base, candMasked, candHealthy)
+			candEng, err := infer.View(cur, base, boosthd.View{Masked: candMasked, Healthy: candHealthy})
 			if err != nil {
 				canaryErr = err
 			} else {

@@ -221,7 +221,7 @@ func TestScrubQuarantineRepairFloatUnderLoad(t *testing.T) {
 		for _, i := range mon.Status().Quarantined {
 			mask[i] = true
 		}
-		view, err := pristine.MaskedAlphaView(mask)
+		view, err := pristine.View(boosthd.View{Masked: mask})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func TestScrubDetectsEveryWordFaultBinary(t *testing.T) {
 		for _, i := range mon.Status().Quarantined {
 			mask[i] = true
 		}
-		refEng, err := infer.Remask(pristineEng, pristine, mask)
+		refEng, err := infer.View(pristineEng, pristine, boosthd.View{Masked: mask})
 		if err != nil {
 			t.Fatal(err)
 		}

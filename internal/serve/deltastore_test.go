@@ -237,7 +237,7 @@ func TestTenantScrubCompacts(t *testing.T) {
 		t.Fatalf("journal holds %d entries after scrub compaction", n)
 	}
 
-	ref, err := s.Engine().WithDelta(d)
+	ref, err := infer.View(s.Engine(), s.Engine().Model(), boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}

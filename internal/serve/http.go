@@ -405,14 +405,13 @@ func (h *handler) predictBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	want := h.s.Engine().InputDim()
+	check := h.s.Engine()
 	if eng != nil {
-		want = eng.InputDim()
+		check = eng
 	}
 	for i, row := range req.Rows {
-		if len(row) != want {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: row %d has %d features, model expects %d", ErrBadInput, i, len(row), want))
+		if err := check.Model().CheckRow(row); err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("%w: row %d: %v", ErrBadInput, i, err))
 			return
 		}
 	}

@@ -246,10 +246,10 @@ func (s *Server) ModelVersion() uint64 { return s.swaps.Load() + 1 }
 // Predict classifies one feature vector through the micro-batcher: the
 // request is coalesced with concurrent callers into one engine batch
 // call. Blocks until the result is available (or the queue drains after
-// Close, which still serves everything already accepted). The feature
-// width is validated before enqueueing — a malformed request must fail
-// alone, not poison the whole batch it would have coalesced into (the
-// engine rejects mixed-width batches wholesale).
+// Close, which still serves everything already accepted). The row is
+// validated (width, finite features in the encoder's range) before
+// enqueueing — a malformed request must fail alone, not poison the
+// whole batch it would have coalesced into.
 func (s *Server) Predict(x []float64) (int, error) {
 	return s.PredictSpan(x, nil)
 }
@@ -281,8 +281,8 @@ func (s *Server) PredictOnSpan(eng *infer.Engine, x []float64, sp *obs.Span) (in
 	if dimEng == nil {
 		dimEng = s.engine.Load()
 	}
-	if want := dimEng.InputDim(); len(x) != want {
-		return 0, fmt.Errorf("%w: feature length %d, model expects %d", ErrBadInput, len(x), want)
+	if err := dimEng.Model().CheckRow(x); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	req := &request{x: x, eng: eng, done: make(chan result, 1), span: sp}
 	o := s.obs.Load()
@@ -314,29 +314,34 @@ func (s *Server) PredictBatch(X [][]float64) ([]int, error) {
 	}
 	s.mu.RUnlock()
 	eng := s.engine.Load()
-	o := s.obs.Load()
-	if o == nil {
-		preds, err := eng.PredictBatch(X)
-		if err == nil {
-			s.served.Add(uint64(len(X)))
-			s.batches.Add(1)
-		}
-		return preds, err
+	var preds []int
+	var err error
+	if o := s.obs.Load(); o == nil {
+		preds, err = eng.PredictBatch(X)
+	} else {
+		var ns [obs.NumStages]int64
+		preds, ns, err = predictStaged(o, eng, X)
+		o.Stages.Record(eng.Backend().String(), len(X), &ns)
 	}
-	var st obs.StageTimes
-	preds, err := eng.PredictBatchStaged(X, &st)
 	if err == nil {
 		s.served.Add(uint64(len(X)))
 		s.batches.Add(1)
 	}
-	o.BatchSize.Observe(uint64(len(X)))
-	encNS, scoNS := st.EncodeNS.Load(), st.ScoreNS.Load()
-	o.EncodeTime.Observe(uint64(encNS))
-	o.ScoreTime.Observe(uint64(scoNS))
-	var ns [obs.NumStages]int64
-	ns[obs.StageEncode], ns[obs.StageScore] = encNS, scoNS
-	o.Stages.Record(eng.Backend().String(), len(X), &ns)
 	return preds, err
+}
+
+// predictStaged is the observed engine batch call behind PredictBatch
+// and the micro-batcher: it records batch size, encode and score time,
+// and returns them as stage totals for the caller's Stages.Record.
+func predictStaged(o *obs.Serving, eng *infer.Engine, rows [][]float64) ([]int, [obs.NumStages]int64, error) {
+	o.BatchSize.Observe(uint64(len(rows)))
+	var st obs.StageTimes
+	preds, err := eng.PredictBatchStaged(rows, &st)
+	var ns [obs.NumStages]int64
+	ns[obs.StageEncode], ns[obs.StageScore] = st.EncodeNS.Load(), st.ScoreNS.Load()
+	o.EncodeTime.Observe(uint64(ns[obs.StageEncode]))
+	o.ScoreTime.Observe(uint64(ns[obs.StageScore]))
+	return preds, ns, err
 }
 
 // Stats snapshots the serving counters.
@@ -474,13 +479,8 @@ func (s *Server) executeObserved(o *obs.Serving, eng *infer.Engine, pending []*r
 	if !pending[0].enq.IsZero() {
 		o.BatchWait.Observe(uint64(dispatch.Sub(pending[0].enq).Nanoseconds()))
 	}
-	o.BatchSize.Observe(uint64(len(rows)))
-	var st obs.StageTimes
-	preds, err := eng.PredictBatchStaged(rows, &st)
+	preds, ns, err := predictStaged(o, eng, rows)
 	done := time.Now()
-	encNS, scoNS := st.EncodeNS.Load(), st.ScoreNS.Load()
-	o.EncodeTime.Observe(uint64(encNS))
-	o.ScoreTime.Observe(uint64(scoNS))
 	backend := eng.Backend().String()
 	for _, r := range pending {
 		sp := r.span
@@ -493,12 +493,10 @@ func (s *Server) executeObserved(o *obs.Serving, eng *infer.Engine, pending []*r
 		if !r.enq.IsZero() {
 			sp.Stamp(obs.StageQueue, dispatch.Sub(r.enq).Nanoseconds())
 		}
-		sp.Stamp(obs.StageEncode, encNS)
-		sp.Stamp(obs.StageScore, scoNS)
+		sp.Stamp(obs.StageEncode, ns[obs.StageEncode])
+		sp.Stamp(obs.StageScore, ns[obs.StageScore])
 		sp.Stamp(obs.StageAggregate, time.Since(done).Nanoseconds())
 	}
-	var ns [obs.NumStages]int64
-	ns[obs.StageEncode], ns[obs.StageScore] = encNS, scoNS
 	ns[obs.StageAggregate] = time.Since(done).Nanoseconds()
 	o.Stages.Record(backend, len(rows), &ns)
 	return preds, err

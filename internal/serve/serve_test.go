@@ -442,6 +442,65 @@ func TestServeBadInputIsolated(t *testing.T) {
 	}
 }
 
+// TestServeNonFiniteRowIsolated: a row whose encoding would overflow
+// fails alone with ErrBadInput at admission, on both backends, while
+// the valid requests it arrived with still coalesce and each gets the
+// label the engine gives it directly.
+func TestServeNonFiniteRowIsolated(t *testing.T) {
+	m, X, _ := fixture(t, 320, 4)
+	bad := make([]float64, len(X[0]))
+	for k := range bad {
+		bad[k] = 1e308
+	}
+	be, err := infer.NewBinaryEngine(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []*infer.Engine{infer.NewEngine(m), be} {
+		t.Run(eng.Backend().String(), func(t *testing.T) {
+			want, err := eng.PredictBatch(X[:16])
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewServer(eng, Config{MaxBatch: 32, MaxWait: 20 * time.Millisecond, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var wg sync.WaitGroup
+			got := make([]int, len(want))
+			errs := make([]error, len(want))
+			var badErr error
+			wg.Add(len(want) + 1)
+			go func() {
+				defer wg.Done()
+				_, badErr = s.Predict(bad)
+			}()
+			for i := range want {
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = s.Predict(X[i])
+				}(i)
+			}
+			wg.Wait()
+			if !errors.Is(badErr, ErrBadInput) {
+				t.Fatalf("1e308 row: %v, want ErrBadInput", badErr)
+			}
+			for i := range want {
+				if errs[i] != nil {
+					t.Fatalf("row %d failed beside the refused row: %v", i, errs[i])
+				}
+				if got[i] != want[i] {
+					t.Fatalf("row %d: served %d, direct %d", i, got[i], want[i])
+				}
+			}
+			if st := s.Stats(); st.CoalescedRows == 0 {
+				t.Fatalf("no rows coalesced (served %d in %d batches)", st.Served, st.Batches)
+			}
+		})
+	}
+}
+
 // TestSwapIf: the compare-and-swap install must refuse a stale rebuild
 // (the reliability monitor's contract for not reverting concurrent
 // operator/trainer swaps) and leave the counters untouched on refusal.

@@ -347,7 +347,7 @@ func (r *TenantRegistry) rebuildLocked(sh *tenantShard, e *tenantEntry) (*infer.
 		e.fp = bs.fp
 		return e.eng, nil
 	}
-	eng, err := bs.eng.WithDelta(e.delta)
+	eng, err := infer.View(bs.eng, bs.eng.Model(), boosthd.View{Delta: e.delta})
 	if err != nil {
 		r.mismatches.Add(1)
 		r.setLastErr(fmt.Errorf("tenant %s: delta incompatible with new base: %w", e.id, err))
@@ -413,7 +413,7 @@ func (r *TenantRegistry) resolveCold(id string) (*infer.Engine, error) {
 
 	e := &tenantEntry{id: id, delta: d, eng: bs.eng, gen: bs.gen, fp: bs.fp}
 	if d != nil {
-		eng, err := bs.eng.WithDelta(d)
+		eng, err := infer.View(bs.eng, bs.eng.Model(), boosthd.View{Delta: d})
 		if err != nil {
 			r.setLastErr(err)
 			return nil, err
@@ -465,7 +465,7 @@ func (r *TenantRegistry) Install(id string, d *boosthd.Delta) error {
 	}
 	bs := r.currentBase()
 
-	eng, err := bs.eng.WithDelta(d)
+	eng, err := infer.View(bs.eng, bs.eng.Model(), boosthd.View{Delta: d})
 	if err != nil {
 		return fmt.Errorf("serve: install tenant %s: %w", id, err)
 	}

@@ -197,7 +197,7 @@ func TestTenantRegistryBaseSwap(t *testing.T) {
 	if st := reg.Stats(); st.Rebuilds == 0 {
 		t.Fatalf("no rebuild counted after base swap: %+v", st)
 	}
-	ref, err := be.WithDelta(d)
+	ref, err := infer.View(be, be.Model(), boosthd.View{Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,11 +156,8 @@ func (t *TenantTrainer) ObserveTenant(tenant string, x []float64, label int) err
 		return fmt.Errorf("%w: %v", serve.ErrBadInput, err)
 	}
 	m := t.reg.Base().Model()
-	if label < 0 || label >= m.Cfg.Classes {
-		return fmt.Errorf("%w: label %d outside [0,%d)", serve.ErrBadInput, label, m.Cfg.Classes)
-	}
-	if len(x) != m.InputDim() {
-		return fmt.Errorf("%w: %d features, model expects %d", serve.ErrBadInput, len(x), m.InputDim())
+	if err := checkSample(m, x, label); err != nil {
+		return err
 	}
 	t.stream(tenant, m.Cfg.Classes).buf.Add(x, label)
 	t.observed.Add(1)
@@ -173,17 +170,9 @@ func (t *TenantTrainer) ObserveTenantBatch(tenant string, X [][]float64, y []int
 	if err := serve.ValidTenantID(tenant); err != nil {
 		return fmt.Errorf("%w: %v", serve.ErrBadInput, err)
 	}
-	if len(X) != len(y) {
-		return fmt.Errorf("%w: %d rows with %d labels", serve.ErrBadInput, len(X), len(y))
-	}
 	m := t.reg.Base().Model()
-	for i, row := range X {
-		if y[i] < 0 || y[i] >= m.Cfg.Classes {
-			return fmt.Errorf("%w: row %d label %d outside [0,%d)", serve.ErrBadInput, i, y[i], m.Cfg.Classes)
-		}
-		if len(row) != m.InputDim() {
-			return fmt.Errorf("%w: row %d has %d features, model expects %d", serve.ErrBadInput, i, len(row), m.InputDim())
-		}
+	if err := checkBatch(m, X, y); err != nil {
+		return err
 	}
 	ts := t.stream(tenant, m.Cfg.Classes)
 	for i := range X {
@@ -307,7 +296,7 @@ func (t *TenantTrainer) fitDelta(base *boosthd.Model, X [][]float64, y []int) (*
 	// Reweight the ensemble over the tenant's data through the composed
 	// view, so the overrides' competence (and the shared learners'
 	// competence on THIS tenant's distribution) sets the vote weights.
-	view, err := base.WithDelta(d)
+	view, err := base.View(boosthd.View{Delta: d})
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +306,7 @@ func (t *TenantTrainer) fitDelta(base *boosthd.Model, X [][]float64, y []int) (*
 	// The reweight rescored every learner, including ones the base has
 	// quarantined (alpha 0) whose shared memory the tenant must not
 	// trust. Re-apply the zero for non-overridden learners — the same
-	// composition rule WithDelta enforces at view-build time.
+	// composition rule boosthd.Model.View enforces at view-build time.
 	for i, a := range base.Alphas {
 		if a == 0 {
 			if _, overridden := d.Learners[i]; !overridden {

@@ -184,13 +184,36 @@ func (t *Trainer) Model() *boosthd.Model {
 // failures wrap serve.ErrBadInput so the HTTP layer answers 400.
 func (t *Trainer) Observe(x []float64, label int) error {
 	m := t.Model()
+	if err := checkSample(m, x, label); err != nil {
+		return err
+	}
+	return t.ingest(m, x, label)
+}
+
+// checkSample validates one labeled sample against m: the label in
+// range, the row admitted by m.CheckRow. Failures wrap serve.ErrBadInput.
+func checkSample(m *boosthd.Model, x []float64, label int) error {
 	if label < 0 || label >= m.Cfg.Classes {
 		return fmt.Errorf("%w: label %d outside [0,%d)", serve.ErrBadInput, label, m.Cfg.Classes)
 	}
-	if len(x) != m.InputDim() {
-		return fmt.Errorf("%w: %d features, model expects %d", serve.ErrBadInput, len(x), m.InputDim())
+	if err := m.CheckRow(x); err != nil {
+		return fmt.Errorf("%w: %v", serve.ErrBadInput, err)
 	}
-	return t.ingest(m, x, label)
+	return nil
+}
+
+// checkBatch validates a labeled batch against m before any row of it
+// is used (see checkSample).
+func checkBatch(m *boosthd.Model, X [][]float64, y []int) error {
+	if len(X) != len(y) {
+		return fmt.Errorf("%w: %d rows with %d labels", serve.ErrBadInput, len(X), len(y))
+	}
+	for i := range X {
+		if err := checkSample(m, X[i], y[i]); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // ingest buffers one pre-validated sample and applies the incremental
@@ -217,17 +240,9 @@ func (t *Trainer) ingest(m *boosthd.Model, x []float64, label int) error {
 // state untouched and the client can retry it wholesale without
 // double-ingesting the prefix.
 func (t *Trainer) ObserveBatch(X [][]float64, y []int) error {
-	if len(X) != len(y) {
-		return fmt.Errorf("%w: %d rows with %d labels", serve.ErrBadInput, len(X), len(y))
-	}
 	m := t.Model()
-	for i, row := range X {
-		if y[i] < 0 || y[i] >= m.Cfg.Classes {
-			return fmt.Errorf("%w: row %d label %d outside [0,%d)", serve.ErrBadInput, i, y[i], m.Cfg.Classes)
-		}
-		if len(row) != m.InputDim() {
-			return fmt.Errorf("%w: row %d has %d features, model expects %d", serve.ErrBadInput, i, len(row), m.InputDim())
-		}
+	if err := checkBatch(m, X, y); err != nil {
+		return err
 	}
 	for i := range X {
 		t.buf.Add(X[i], y[i])
@@ -327,8 +342,9 @@ func (t *Trainer) Retrain() (serve.RetrainReport, error) {
 		// live learners (all access stays lock-mediated), so updates
 		// streaming in during and after the reweight are never lost to
 		// the swap; only the alpha vector is private to the view.
-		fresh = t.Model().AlphaView()
-		err = fresh.ReweightAlphas(X, y)
+		if fresh, err = t.Model().View(boosthd.View{}); err == nil {
+			err = fresh.ReweightAlphas(X, y)
+		}
 	} else {
 		// A full refit works on a deep clone; samples observed while it
 		// runs keep landing in the old model and the buffer, and their
